@@ -35,7 +35,7 @@ var (
 	dopFlag   = flag.Int("j", 1, "degree of parallelism: when > 1, parallel exchange series are added (0 = all CPUs)")
 	benchFlag = flag.String("bench", "", "write ns/op, allocs/op and rows for the Fig. 13/14 panels to this JSON file (e.g. BENCH_PR2.json) instead of printing figures; an existing 'before' section in the file is preserved")
 	optFlag   = flag.String("bench-opt", "", "write filtered Fig. 13-style SQL workloads to this JSON file (e.g. BENCH_PR4.json), measuring DisableOptimizer as 'before' and the stats-fed optimizer as 'after'")
-	colFlag   = flag.String("bench-col", "", "write filtered Fig. 13-style SQL workloads to this JSON file (e.g. BENCH_PR6.json), measuring the row executor (DisableColumnar) as 'before' and the vectorized pipeline as 'after'; both sides run the stats-fed optimizer")
+	colFlag   = flag.String("bench-col", "", "write filtered Fig. 13-style SQL workloads to this JSON file, measuring the row executor (DisableColumnar; the fused ALIGN/NORMALIZE operator stays columnar) as 'before' and the vectorized pipeline as 'after'; both sides run the stats-fed optimizer")
 	storFlag  = flag.String("bench-storage", "", "write disk-backed workloads to this JSON file (e.g. BENCH_PR8.json): the PR 6 filtered panels plus valid-time-filtered scans/ALIGN over on-disk segments, measuring plan.Flags.DisablePruning as 'before' and zone-map segment pruning as 'after'")
 	distFlag  = flag.String("bench-dist", "", "write distributed Fig. 13 ALIGN/NORMALIZE workloads (n scaled by -scale from 10^6) to this JSON file (e.g. BENCH_PR10.json): scatter-gather over 1, 2 and 4 in-process workers, with fragment/row/byte-shipped counters per panel")
 )
@@ -591,7 +591,7 @@ func runColBenchPanels(path string) error {
 		return err
 	}
 	return benchkit.WriteBenchFile(path, benchkit.BenchFile{
-		Description: "Filtered Fig. 13-style SQL workloads on Incumben (n=8000): 'before' forces the row executor (plan.Flags.DisableColumnar), 'after' runs the PR 6 vectorized pipeline (columnar batches with selection vectors, vector key encoding, fused-adjust sweep over time columns). Both sides use the stats-fed optimizer. Regenerate: go run ./cmd/experiments -bench-col BENCH_PR6.json",
+		Description: "Filtered Fig. 13-style SQL workloads on Incumben (n=8000): 'before' forces the row executor (plan.Flags.DisableColumnar) for every operator except the fused ALIGN/NORMALIZE operator, which is columnar in every plan; 'after' runs the vectorized pipeline (columnar batches with selection vectors, vector key encoding, fused-adjust sweep over time columns). Both sides use the stats-fed optimizer. Regenerate: go run ./cmd/experiments -bench-col <file>.json",
 		Before:      before,
 		After:       after,
 	})

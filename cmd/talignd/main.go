@@ -204,7 +204,10 @@ func main() {
 	}
 	fmt.Printf("talignd listening on %s (dop=%d, cache=%d, max in-flight dop=%d)\n",
 		*addr, flags.DOP, *cacheSize, *maxDOP)
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	// ReadHeaderTimeout drops connections that never finish their request
+	// headers; bodies stay unbounded in time because /fragment staging
+	// ships whole relations.
+	httpSrv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
 

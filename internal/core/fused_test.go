@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"talign/internal/exec"
 	"talign/internal/expr"
+	"talign/internal/oracle"
 	"talign/internal/plan"
 	"talign/internal/randrel"
 	"talign/internal/relation"
@@ -13,69 +15,135 @@ import (
 	"talign/internal/value"
 )
 
-// legacyFlags reverts to the classic join → sort → Adjust pipeline under
-// the given join-method flags.
-func legacyFlags(base plan.Flags) plan.Flags {
-	base.DisableFusedAdjust = true
-	return base
-}
-
-// methodFlags builds flag sets that force each group strategy.
-func methodFlags() map[string]plan.Flags {
+// strategyFlags builds flag sets that force each group strategy of the
+// fused ALIGN/NORMALIZE node. The interval index only serves keyless θ;
+// keyed θ falls back to the cheapest enabled method under its flags.
+func strategyFlags() map[string]plan.Flags {
+	ivx := plan.DefaultFlags()
+	ivx.EnableIntervalIndex = true
 	return map[string]plan.Flags{
-		"hash":     {EnableHashJoin: true, EnableSort: true},
-		"merge":    {EnableMergeJoin: true, EnableSort: true},
-		"nestloop": {EnableNestLoop: true, EnableSort: true},
+		"hash":           {EnableHashJoin: true, EnableSort: true},
+		"merge":          {EnableMergeJoin: true, EnableSort: true},
+		"nestloop":       {EnableNestLoop: true, EnableSort: true},
+		"interval-index": ivx,
 	}
 }
 
-// TestFusedAdjustMatchesLegacy is the randomized differential test for the
-// fused group-construction → sweep operator: for random relations, ALIGN
-// and NORMALIZE under every forced group strategy must be set-equal to the
-// classic pipeline under the same flags.
-func TestFusedAdjustMatchesLegacy(t *testing.T) {
-	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
-	attrsS := []schema.Attr{{Name: "x2", Type: value.KindString}, {Name: "w", Type: value.KindInt}}
-	theta := expr.Eq(expr.CI(0, value.KindString), expr.CI(2, value.KindString))
+// fusedThetas covers the θ shapes the fused node handles differently:
+// none, fully extracted equi keys, equi keys plus a residual, a keyless
+// residual, and an equi key over a computed (non-column) operand.
+func fusedThetas() map[string]expr.Expr {
+	return map[string]expr.Expr{
+		"nil":            nil,
+		"equi":           thetaXY(),
+		"equi+residual":  expr.And(thetaXY(), thetaVW()),
+		"residual":       thetaVW(),
+		"non-column-key": expr.Eq(expr.Call("ABS", expr.C("v")), expr.C("w")),
+	}
+}
 
-	for seed := int64(0); seed < 30; seed++ {
+// TestFusedAdjustMatchesOracle is the randomized differential test for
+// the fused group-construction → sweep operator: under every forced
+// group strategy, each operator whose reduction runs ALIGN or NORMALIZE
+// must equal the oracle's definitional result on the same relations.
+func TestFusedAdjustMatchesOracle(t *testing.T) {
+	type op struct {
+		core func(a *Algebra, r, s *relation.Relation) (*relation.Relation, error)
+		spec func(r, s *relation.Relation) (*relation.Relation, error)
+	}
+	ops := map[string]op{
+		"aggregation": {
+			func(a *Algebra, r, _ *relation.Relation) (*relation.Relation, error) {
+				return a.Aggregation(r, []string{"x"}, []exec.AggSpec{
+					{Func: exec.AggCountStar, Name: "c"},
+					{Func: exec.AggSum, Arg: expr.C("v"), Name: "sv"},
+				})
+			},
+			func(r, _ *relation.Relation) (*relation.Relation, error) {
+				return oracle.Aggregation(r, []string{"x"}, []oracle.AggSpec{
+					{Op: oracle.CountStar, Name: "c"},
+					{Op: oracle.Sum, Arg: expr.C("v"), Name: "sv"},
+				})
+			},
+		},
+		// Global aggregation normalizes with B = ∅: a keyless splitter.
+		"aggregation-global": {
+			func(a *Algebra, r, _ *relation.Relation) (*relation.Relation, error) {
+				return a.Aggregation(r, nil, []exec.AggSpec{{Func: exec.AggCountStar, Name: "c"}})
+			},
+			func(r, _ *relation.Relation) (*relation.Relation, error) {
+				return oracle.Aggregation(r, nil, []oracle.AggSpec{{Op: oracle.CountStar, Name: "c"}})
+			},
+		},
+		"projection": {
+			func(a *Algebra, r, _ *relation.Relation) (*relation.Relation, error) { return a.Projection(r, "x") },
+			func(r, _ *relation.Relation) (*relation.Relation, error) { return oracle.Projection(r, "x") },
+		},
+		"union":        {(*Algebra).Union, oracle.Union},
+		"difference":   {(*Algebra).Difference, oracle.Difference},
+		"intersection": {(*Algebra).Intersection, oracle.Intersection},
+	}
+	for name, theta := range fusedThetas() {
+		ops["leftouter/"+name] = op{
+			func(a *Algebra, r, s *relation.Relation) (*relation.Relation, error) {
+				return a.LeftOuterJoin(r, s, theta)
+			},
+			func(r, s *relation.Relation) (*relation.Relation, error) { return oracle.LeftOuterJoin(r, s, theta) },
+		}
+		ops["fullouter/"+name] = op{
+			func(a *Algebra, r, s *relation.Relation) (*relation.Relation, error) {
+				return a.FullOuterJoin(r, s, theta)
+			},
+			func(r, s *relation.Relation) (*relation.Relation, error) { return oracle.FullOuterJoin(r, s, theta) },
+		}
+		ops["antijoin/"+name] = op{
+			func(a *Algebra, r, s *relation.Relation) (*relation.Relation, error) {
+				return a.AntiJoin(r, s, theta)
+			},
+			func(r, s *relation.Relation) (*relation.Relation, error) { return oracle.AntiJoin(r, s, theta) },
+		}
+	}
+
+	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
-		s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
-		for name, flags := range methodFlags() {
-			fused := New(flags)
-			legacy := New(legacyFlags(flags))
-
-			check := func(op string, f func(a *Algebra) (*relation.Relation, error)) {
-				t.Helper()
-				want, err := f(legacy)
-				if err != nil {
-					t.Fatalf("seed %d %s/%s legacy: %v", seed, op, name, err)
-				}
-				got, err := f(fused)
-				if err != nil {
-					t.Fatalf("seed %d %s/%s fused: %v", seed, op, name, err)
-				}
-				if !relation.SetEqual(want, got) {
-					a, b := relation.Diff(want, got)
-					t.Fatalf("seed %d %s/%s: fused differs from legacy\nonly legacy: %v\nonly fused: %v\nr:\n%s\ns:\n%s",
-						seed, op, name, a, b, r, s)
+		r := randrel.Generate(rng, randrel.DefaultConfig(attrs2()...))
+		s := randrel.Generate(rng, randrel.DefaultConfig(attrs2s()...))
+		// The set operations need a union-compatible second operand.
+		r2 := randrel.Generate(rng, randrel.DefaultConfig(attrs2()...))
+		for fname, flags := range strategyFlags() {
+			for _, rewrite := range []bool{false, true} {
+				flags.EnableAntiJoinRewrite = rewrite
+				a := New(flags)
+				for oname, o := range ops {
+					if rewrite && !strings.HasPrefix(oname, "antijoin/") {
+						continue // the rewrite only changes the antijoin
+					}
+					second := s
+					if !strings.Contains(oname, "/") {
+						second = r2
+					}
+					got, err := o.core(a, r, second)
+					if err != nil {
+						t.Fatalf("seed %d %s under %s (rewrite=%v): %v", seed, oname, fname, rewrite, err)
+					}
+					want, err := o.spec(r, second)
+					if err != nil {
+						t.Fatalf("seed %d %s oracle: %v", seed, oname, err)
+					}
+					if !relation.SetEqual(got, want) {
+						onlyGot, onlyWant := relation.Diff(got, want)
+						t.Fatalf("seed %d %s under %s (rewrite=%v) disagrees with the oracle\nonly fused: %v\nonly oracle: %v\nr:\n%s\ns:\n%s",
+							seed, oname, fname, rewrite, onlyGot, onlyWant, r, second)
+					}
 				}
 			}
-			check("align-theta", func(a *Algebra) (*relation.Relation, error) { return a.Align(r, s, theta) })
-			check("align-true", func(a *Algebra) (*relation.Relation, error) { return a.Align(r, s, nil) })
-			check("normalize-x", func(a *Algebra) (*relation.Relation, error) { return a.Normalize(r, r, "x") })
-			check("normalize-all", func(a *Algebra) (*relation.Relation, error) { return a.Normalize(r, r, "x", "v") })
-			check("normalize-empty", func(a *Algebra) (*relation.Relation, error) { return a.Normalize(r, r) })
-			check("fullouter", func(a *Algebra) (*relation.Relation, error) { return a.FullOuterJoin(r, s, theta) })
-			check("antijoin", func(a *Algebra) (*relation.Relation, error) { return a.AntiJoin(r, s, theta) })
 		}
 	}
 }
 
-// TestFusedAdjustIntervalIndex differentially tests the fused
-// interval-index strategy (keyless θ) against the legacy interval-index
-// plan and the nested-loop fallback.
+// TestFusedAdjustIntervalIndex: alignment through the interval-index
+// strategy (keyless θ) equals the nested-loop strategy, and the outer
+// join it feeds equals the oracle.
 func TestFusedAdjustIntervalIndex(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}}
 	attrsS := []schema.Attr{{Name: "y", Type: value.KindString}}
@@ -85,26 +153,33 @@ func TestFusedAdjustIntervalIndex(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
 		s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
-		want, err := New(legacyFlags(ivx)).Align(r, s, nil)
-		if err != nil {
-			t.Fatalf("seed %d legacy interval-index: %v", seed, err)
-		}
 		got, err := New(ivx).Align(r, s, nil)
 		if err != nil {
-			t.Fatalf("seed %d fused interval-index: %v", seed, err)
+			t.Fatalf("seed %d interval-index: %v", seed, err)
 		}
 		nl, err := Default().Align(r, s, nil)
 		if err != nil {
 			t.Fatalf("seed %d nestloop: %v", seed, err)
 		}
-		if !relation.SetEqual(want, got) || !relation.SetEqual(nl, got) {
-			t.Fatalf("seed %d: interval-index results diverge\nr:\n%s\ns:\n%s", seed, r, s)
+		if !relation.SetEqual(nl, got) {
+			t.Fatalf("seed %d: interval-index alignment diverges\nr:\n%s\ns:\n%s", seed, r, s)
+		}
+		gotJ, err := New(ivx).LeftOuterJoin(r, s, nil)
+		if err != nil {
+			t.Fatalf("seed %d interval-index join: %v", seed, err)
+		}
+		wantJ, err := oracle.LeftOuterJoin(r, s, nil)
+		if err != nil {
+			t.Fatalf("seed %d oracle: %v", seed, err)
+		}
+		if !relation.SetEqual(wantJ, gotJ) {
+			t.Fatalf("seed %d: interval-index outer join disagrees with the oracle\nr:\n%s\ns:\n%s", seed, r, s)
 		}
 	}
 }
 
 // TestFusedAdjustParallel: the exchange rewrite composes with the fused
-// fragment — parallel fused plans match serial fused and serial legacy.
+// fragment — parallel ALIGN and NORMALIZE match the serial plans.
 func TestFusedAdjustParallel(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	theta := expr.Eq(expr.CI(0, value.KindString), expr.CI(2, value.KindString))
@@ -112,9 +187,13 @@ func TestFusedAdjustParallel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
 		s := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
-		want, err := New(legacyFlags(plan.DefaultFlags())).Align(r, s, theta)
+		want, err := Default().Align(r, s, theta)
 		if err != nil {
-			t.Fatalf("seed %d legacy: %v", seed, err)
+			t.Fatalf("seed %d serial: %v", seed, err)
+		}
+		wantN, err := Default().Normalize(r, r, "x")
+		if err != nil {
+			t.Fatalf("seed %d serial normalize: %v", seed, err)
 		}
 		for _, v := range []struct{ dop, batch int }{{2, 1}, {4, 3}, {4, 0}} {
 			a := New(parallelFlags(v.dop, v.batch))
@@ -124,16 +203,12 @@ func TestFusedAdjustParallel(t *testing.T) {
 			}
 			if !relation.SetEqual(want, got) {
 				x, y := relation.Diff(want, got)
-				t.Fatalf("seed %d dop=%d batch=%d: parallel fused differs\nonly legacy: %v\nonly fused: %v",
+				t.Fatalf("seed %d dop=%d batch=%d: parallel fused differs\nonly serial: %v\nonly parallel: %v",
 					seed, v.dop, v.batch, x, y)
 			}
 			gotN, err := a.Normalize(r, r, "x")
 			if err != nil {
 				t.Fatalf("seed %d dop=%d normalize: %v", seed, v.dop, err)
-			}
-			wantN, err := New(legacyFlags(plan.DefaultFlags())).Normalize(r, r, "x")
-			if err != nil {
-				t.Fatalf("seed %d legacy normalize: %v", seed, err)
 			}
 			if !relation.SetEqual(wantN, gotN) {
 				t.Fatalf("seed %d dop=%d: parallel fused normalize differs", seed, v.dop)
@@ -143,7 +218,7 @@ func TestFusedAdjustParallel(t *testing.T) {
 }
 
 // TestFusedAdjustPlanShape: EXPLAIN renders the fused node with its mode
-// and group strategy, and the legacy flag restores the classic chain.
+// and the group strategy the flags force.
 func TestFusedAdjustPlanShape(t *testing.T) {
 	r := relation.NewBuilder("x string", "v int").Row(0, 5, "a", 1).MustBuild()
 	s := relation.NewBuilder("y string", "w int").Row(2, 7, "a", 2).MustBuild()
@@ -151,17 +226,17 @@ func TestFusedAdjustPlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bind: %v", err)
 	}
-	a := Default()
-	text := plan.Explain(a.AlignPlan(a.Planner().Scan(r, "r"), a.Planner().Scan(s, "s"), theta))
-	if !strings.Contains(text, "FusedAdjust align") {
-		t.Fatalf("fused plan missing FusedAdjust node:\n%s", text)
-	}
-	if !strings.Contains(text, "join)") {
-		t.Fatalf("fused plan label missing group strategy:\n%s", text)
-	}
-	leg := New(legacyFlags(plan.DefaultFlags()))
-	text = plan.Explain(leg.AlignPlan(leg.Planner().Scan(r, "r"), leg.Planner().Scan(s, "s"), theta))
-	if !strings.Contains(text, "Sort") || strings.Contains(text, "FusedAdjust") {
-		t.Fatalf("legacy plan should keep the classic chain:\n%s", text)
+	for name, flags := range strategyFlags() {
+		a := New(flags)
+		text := plan.Explain(a.AlignPlan(a.Planner().Scan(r, "r"), a.Planner().Scan(s, "s"), theta))
+		if !strings.Contains(text, "FusedAdjust align") {
+			t.Fatalf("%s: plan missing FusedAdjust node:\n%s", name, text)
+		}
+		if name != "interval-index" && !strings.Contains(text, "("+name+" join)") {
+			t.Fatalf("%s: plan label missing the forced group strategy:\n%s", name, text)
+		}
+		if strings.Contains(text, "Sort") {
+			t.Fatalf("%s: the fused node needs no sort:\n%s", name, text)
+		}
 	}
 }

@@ -123,7 +123,8 @@ func (m *Materialize) Next() ([]tuple.Tuple, error) {
 		if b.NumRows() == 0 {
 			continue // fully filtered batch; keep pulling
 		}
-		return b.Materialize(m.out), nil
+		m.out = b.Materialize(m.out)
+		return m.out, nil
 	}
 }
 

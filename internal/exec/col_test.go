@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/maphash"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"talign/internal/expr"
@@ -212,17 +213,118 @@ func TestColLimitCountsSelectedRows(t *testing.T) {
 	}
 }
 
-func TestColFusedAdjustMatchesRow(t *testing.T) {
+// refAdjust is a naive reference for the fused operator, written from
+// the definitions (Def. 8 and Def. 10) and sharing no code with it: for
+// each left tuple it collects the θ-matching group members, then emits
+// every distinct overlap with a member plus the maximal sub-intervals no
+// member covers (align; gaps mode only the latter), or splits at every
+// member split point strictly inside the tuple's interval (normalize).
+func refAdjust(t *testing.T, left, right *relation.Relation, mode AdjustMode, keys []expr.EquiPair, residual expr.Expr, pCol int) []tuple.Tuple {
+	t.Helper()
+	eval := func(e expr.Expr, vals []value.Value, iv interval.Interval) value.Value {
+		v, err := e.Eval(&expr.Env{Vals: vals, T: iv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	var out []tuple.Tuple
+	var seen map[string]bool // per left tuple: each sweeps its own group
+	emit := func(l tuple.Tuple, ts, te int64) {
+		o := l.WithT(interval.New(ts, te))
+		if k := string(o.AppendKey(nil)); !seen[k] {
+			seen[k] = true
+			out = append(out, o)
+		}
+	}
+	for _, l := range left.Tuples {
+		seen = map[string]bool{}
+		var members []tuple.Tuple
+	member:
+		for _, r := range right.Tuples {
+			for _, k := range keys {
+				lv, rv := eval(k.Left, l.Vals, l.T), eval(k.Right, r.Vals, r.T)
+				if lv.IsNull() || rv.IsNull() || !lv.Equal(rv) {
+					continue member
+				}
+			}
+			if residual != nil {
+				v := eval(residual, append(append([]value.Value{}, l.Vals...), r.Vals...), l.T)
+				if v.IsNull() || !v.Bool() {
+					continue
+				}
+			}
+			members = append(members, r)
+		}
+		if mode == ModeNormalize {
+			cuts := []int64{l.T.Ts, l.T.Te}
+			for _, r := range members {
+				if p := r.Vals[pCol]; !p.IsNull() && p.Int() > l.T.Ts && p.Int() < l.T.Te {
+					cuts = append(cuts, p.Int())
+				}
+			}
+			slices.Sort(cuts)
+			cuts = slices.Compact(cuts)
+			for i := 1; i < len(cuts); i++ {
+				emit(l, cuts[i-1], cuts[i])
+			}
+			continue
+		}
+		covered := make([]bool, l.T.Te-l.T.Ts)
+		for _, r := range members {
+			ts, te := max(l.T.Ts, r.T.Ts), min(l.T.Te, r.T.Te)
+			if ts >= te {
+				continue
+			}
+			if mode == ModeAlign {
+				emit(l, ts, te)
+			}
+			for p := ts; p < te; p++ {
+				covered[p-l.T.Ts] = true
+			}
+		}
+		for p := l.T.Ts; p < l.T.Te; {
+			if covered[p-l.T.Ts] {
+				p++
+				continue
+			}
+			q := p
+			for q < l.T.Te && !covered[q-l.T.Ts] {
+				q++
+			}
+			emit(l, p, q)
+			p = q
+		}
+	}
+	return out
+}
+
+// TestColFusedAdjustMatchesDefinition runs every group strategy over
+// random relations with mixed int/float columns and ω keys, for θ ∈ {true,
+// equi, equi + residual, keyless residual, non-column key}, against the
+// definitional reference.
+func TestColFusedAdjustMatchesDefinition(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
-	keys := []expr.EquiPair{{
-		Left:  expr.ColIdx{Idx: 0, Typ: value.KindInt},
-		Right: expr.ColIdx{Idx: 0, Typ: value.KindInt},
-	}}
-	for trial := 0; trial < 10; trial++ {
+	k := expr.ColIdx{Idx: 0, Typ: value.KindInt}
+	equi := []expr.EquiPair{{Left: k, Right: k}}
+	computed := []expr.EquiPair{{Left: expr.Add(k, expr.Int(0)), Right: k}}
+	// l.v <= r.v over Concat(left, right).
+	vLEw := expr.Le(expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.ColIdx{Idx: 3, Typ: value.KindInt})
+	thetas := []struct {
+		name     string
+		keys     []expr.EquiPair
+		residual expr.Expr
+	}{
+		{"true", nil, nil},
+		{"equi", equi, nil},
+		{"equi+residual", equi, vLEw},
+		{"residual", nil, vLEw},
+		{"computed-key", computed, nil},
+	}
+	for trial := 0; trial < 6; trial++ {
 		for _, mode := range []AdjustMode{ModeAlign, ModeGaps, ModeNormalize} {
-			// Normalize splits on column v, whose values must be ints
-			// (Value.Int panics on floats in both paths); the align modes
-			// get mixed int/float columns to exercise demotion.
+			// Normalize splits on column v, whose values must be ints; the
+			// align modes get mixed int/float columns to exercise demotion.
 			mixed := mode != ModeNormalize
 			left := colTestRel(r, 120, mixed).Dedup()
 			right := colTestRel(r, 150, mixed)
@@ -230,40 +332,44 @@ func TestColFusedAdjustMatchesRow(t *testing.T) {
 			if mode == ModeNormalize {
 				pCol = 1
 			}
-			for _, strat := range []GroupStrategy{GroupHash, GroupNestLoop} {
-				kset := keys
-				if strat == GroupNestLoop && trial%2 == 0 {
-					kset = nil // keyless nested loop
+			for _, th := range thetas {
+				want := refAdjust(t, left, right, mode, th.keys, th.residual, pCol)
+				strategies := []GroupStrategy{GroupHash, GroupMerge, GroupNestLoop}
+				if th.keys == nil {
+					strategies = []GroupStrategy{GroupNestLoop}
+					if mode != ModeNormalize {
+						strategies = append(strategies, GroupInterval)
+					}
 				}
-				rowOp, err := NewFusedAdjust(NewScan(left), NewScan(right), mode, strat, kset, nil, pCol)
-				if err != nil {
-					t.Fatal(err)
+				for _, strat := range strategies {
+					op, err := NewColFusedAdjust(NewColScan(left), NewColScan(right), mode, strat, th.keys, th.residual, pCol)
+					if err != nil {
+						t.Fatalf("%v %s %v: %v", mode, th.name, strat, err)
+					}
+					op.SetBatchSize(1 + trial*7)
+					got := collectRows(t, NewMaterialize(op))
+					if len(got) != len(want) {
+						t.Fatalf("%v %s %v: %d rows, want %d", mode, th.name, strat, len(got), len(want))
+					}
+					assertSameRows(t, got, want)
 				}
-				want := collectRows(t, rowOp)
-
-				colOp, ok := NewColFusedAdjust(NewColScan(left), NewColScan(right), mode, strat, kset, pCol)
-				if !ok {
-					t.Fatalf("mode %v strat %v did not compile", mode, strat)
-				}
-				got := collectRows(t, NewMaterialize(colOp))
-				assertSameRows(t, got, want)
 			}
 		}
 	}
 }
 
 func TestColFusedAdjustNormalizePanicsOnNonInt(t *testing.T) {
-	// A string split point must panic exactly like the row operator's
-	// pv.Int() — not silently coerce.
+	// Split points are planner-generated ints; a string split point is a
+	// broken invariant and must panic, not silently coerce.
 	s := schema.MustNew(schema.Attr{Name: "p", Type: value.KindString})
 	right := relation.New(s)
 	right.MustAppend(tuple.New(interval.New(0, 10), value.NewString("x")))
 	left := relation.New(s)
 	left.MustAppend(tuple.New(interval.New(0, 10), value.NewString("x")))
 
-	colOp, ok := NewColFusedAdjust(NewColScan(left), NewColScan(right), ModeNormalize, GroupNestLoop, nil, 0)
-	if !ok {
-		t.Fatal("did not compile")
+	colOp, err := NewColFusedAdjust(NewColScan(left), NewColScan(right), ModeNormalize, GroupNestLoop, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	m := NewMaterialize(colOp)
 	if err := m.Open(); err != nil {

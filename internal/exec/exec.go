@@ -2,11 +2,11 @@
 // iterators for scans, selections, projections, sorts, nested-loop / hash /
 // sort-merge joins (inner, left/right/full outer, semi, anti), hash
 // aggregation, set operations, duplicate elimination, the paper's new
-// executor nodes — Adjust (the plane-sweep ExecAdjustment of Fig. 10,
-// serving both temporal alignment and temporal normalization), FusedAdjust
-// (the fused group-construction → sweep operator that replaces the
-// join → sort → Adjust chain without materializing concatenated rows) and
-// Absorb (Def. 12) — plus a hash-partitioned parallel exchange layer
+// executor nodes — ColFusedAdjust (the group-construction join fused with
+// the plane-sweep ExecAdjustment of Fig. 10, serving both temporal
+// alignment and temporal normalization; it is columnar in every plan,
+// even when instrumented or under plan.Flags.DisableColumnar) and Absorb
+// (Def. 12) — plus a hash-partitioned parallel exchange layer
 // (Splitter / Exchange) that spreads a plan fragment across worker
 // goroutines.
 //
@@ -18,7 +18,7 @@
 // Operators exchange data batch-at-a-time: Next returns a slice of tuples
 // and an empty batch signals exhaustion. Batching amortizes the virtual
 // Next dispatch across BatchSize tuples and lets hot loops (hash-join
-// probe, the Adjust sweep) run over pre-sized buffers.
+// probe, the plane sweep) run over pre-sized buffers.
 //
 // Every tuple carries its valid-time interval T natively. Join nodes can be
 // asked to additionally match T with equality (MatchT), which is exactly the

@@ -107,12 +107,6 @@ func (o *optimizer) rewriteNode(n plan.Node) plan.Node {
 			return x
 		}
 		return o.p.Absorb(in)
-	case *plan.AdjustNode:
-		in := o.rewrite(x.Input)
-		if in == x.Input {
-			return x
-		}
-		return o.p.Adjust(in, x.Mode, x.LeftWidth, x.P1, x.P2)
 	case *plan.SharedNode:
 		in := o.rewrite(x.Input)
 		if in == x.Input {
@@ -168,18 +162,6 @@ func (o *optimizer) filter(in plan.Node, pred expr.Expr) plan.Node {
 		push, keep := splitConjuncts(pred, func(c expr.Expr) bool { return !expr.UsesT(c) })
 		if push != nil {
 			n := o.p.FusedAdjustFrom(o.filter(x.Left, push), x.Right, x.Mode, x.Keys, x.Residual, x.PCol)
-			return o.keepFilter(n, keep)
-		}
-
-	case *plan.AdjustNode:
-		// Legacy chain: Adjust groups its input by the left-width prefix;
-		// a value predicate over that prefix is constant per group and
-		// removes whole groups, exactly like filtering the output.
-		push, keep := splitConjuncts(pred, func(c expr.Expr) bool {
-			return !expr.UsesT(c) && expr.MinColIdx(c) >= 0 && expr.MaxColIdx(c) < x.LeftWidth
-		})
-		if push != nil {
-			n := o.p.Adjust(o.filter(x.Input, push), x.Mode, x.LeftWidth, x.P1, x.P2)
 			return o.keepFilter(n, keep)
 		}
 

@@ -306,10 +306,6 @@ func (o *optimizer) rebuildChildren(n plan.Node) plan.Node {
 		if in := o.reorder(x.Input); in != x.Input {
 			return o.p.Absorb(in)
 		}
-	case *plan.AdjustNode:
-		if in := o.reorder(x.Input); in != x.Input {
-			return o.p.Adjust(in, x.Mode, x.LeftWidth, x.P1, x.P2)
-		}
 	case *plan.SharedNode:
 		if in := o.reorder(x.Input); in != x.Input {
 			return o.p.Shared(in)

@@ -16,9 +16,12 @@
 //     a row-only sibling is bridged with exec.NewToCol instead. Combined
 //     with (1) this makes refusal propagation sound in exchange
 //     fragments, where inputs are single-use partition streams.
-//  3. Instrumented executions (EXPLAIN ANALYZE) stay entirely on the
-//     row path — colDisabled checks ctx.Instrument — so per-operator
-//     row counters keep their meaning.
+//  3. Instrumented executions (EXPLAIN ANALYZE) stay on the row path —
+//     colDisabled checks ctx.Instrument — so per-operator row counters
+//     keep their meaning. The one exception is FusedAdjustNode: it is
+//     columnar even when instrumented or under DisableColumnar, with its
+//     inputs bridged by ToCol and its output counted at the
+//     Materialize step it ends with.
 package plan
 
 import (
@@ -149,40 +152,15 @@ func (l *LimitNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
 	return exec.NewColLimit(in, l.N, l.Offset), true, nil
 }
 
-// BuildCol builds the vectorized fused adjust for the hash and
-// nested-loop strategies with fully extracted equi keys; merge/interval
-// strategies and residual θ keep the row operator. The group side is
-// bridged with ToCol when it cannot build columnar — the operator drains
-// it into a columnar store on Open either way.
+// BuildCol hands the fused operator to a columnar parent. Instrumented
+// builds refuse, so Build wraps the node's row boundary and EXPLAIN
+// ANALYZE still counts its rows.
 func (n *FusedAdjustNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
-	if colDisabled(n.noCol, ctx) || n.Residual != nil {
+	if ctx != nil && ctx.Instrument != nil {
 		return nil, false, nil
 	}
-	if n.Strategy != exec.GroupHash && n.Strategy != exec.GroupNestLoop {
-		return nil, false, nil
-	}
-	keys := bindPairs(ctx, n.Keys)
-	for _, k := range keys {
-		if !exec.ColOperandOK(k.Left) || !exec.ColOperandOK(k.Right) {
-			return nil, false, nil
-		}
-	}
-	if n.Mode == exec.ModeNormalize && (n.PCol < 0 || n.PCol >= n.Right.Schema().Len()) {
-		return nil, false, nil
-	}
-	l, ok, err := buildColNode(n.Left, ctx)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	r, err := toColInput(n.Right, ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	fa, ok := exec.NewColFusedAdjust(l, r, n.Mode, n.Strategy, keys, n.PCol)
-	if !ok {
-		return nil, false, fmt.Errorf("plan: columnar fused adjust refused after gates")
-	}
-	return exec.ApplyColBatch(fa, n.batch), true, nil
+	it, err := n.buildCol(ctx)
+	return it, err == nil, err
 }
 
 // BuildCol streams the union with selection-vector dedup; intersect and

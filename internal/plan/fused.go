@@ -10,14 +10,14 @@ import (
 	"talign/internal/stats"
 )
 
-// FusedAdjustNode is the logical node for the fused group-construction →
-// plane-sweep pipeline: it replaces the (join → sort → Adjust) chain of
-// the classic ALIGN/NORMALIZE plans with a single operator that never
-// materializes concatenated join rows. The group strategy (hash, merge,
-// nested loop, interval index) is chosen at construction exactly like
-// JoinNode's method — candidate costs plus DisableCost for disabled
-// paths — so the planner flags that steer Fig. 13's join-method series
-// steer the fused node the same way.
+// FusedAdjustNode is the logical node for ALIGN/NORMALIZE: the
+// group-construction join and the plane sweep fused into a single
+// operator (exec.ColFusedAdjust) that never materializes concatenated
+// join rows. The group strategy (hash, merge, nested loop, interval
+// index) is chosen at construction exactly like JoinNode's method —
+// candidate costs plus DisableCost for disabled paths — so the planner
+// flags that steer Fig. 13's join-method series steer the fused node the
+// same way.
 type FusedAdjustNode struct {
 	Left, Right Node
 	Mode        exec.AdjustMode
@@ -29,7 +29,6 @@ type FusedAdjustNode struct {
 	out   schema.Schema
 	cost  float64
 	batch int
-	noCol bool
 }
 
 // FusedAlign builds the fused aligner for r Φ_θ s (modes align or gaps).
@@ -43,7 +42,7 @@ func (p *Planner) FusedAlign(r, s Node, theta expr.Expr, mode exec.AdjustMode) *
 	n := &FusedAdjustNode{
 		Left: r, Right: s, Mode: mode,
 		Keys: keys, Residual: residual, PCol: -1,
-		out: r.Schema(), batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar,
+		out: r.Schema(), batch: p.Flags.BatchSize,
 	}
 	n.choose(p.Flags)
 	return n
@@ -56,7 +55,7 @@ func (p *Planner) FusedNormalize(r, points Node, keys []expr.EquiPair, pCol int)
 	n := &FusedAdjustNode{
 		Left: r, Right: points, Mode: exec.ModeNormalize,
 		Keys: keys, PCol: pCol,
-		out: r.Schema(), batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar,
+		out: r.Schema(), batch: p.Flags.BatchSize,
 	}
 	n.choose(p.Flags)
 	return n
@@ -70,7 +69,7 @@ func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.E
 	n := &FusedAdjustNode{
 		Left: l, Right: r, Mode: mode,
 		Keys: keys, Residual: residual, PCol: pCol,
-		out: l.Schema(), batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar,
+		out: l.Schema(), batch: p.Flags.BatchSize,
 	}
 	n.choose(p.Flags)
 	return n
@@ -168,23 +167,33 @@ func (n *FusedAdjustNode) Stats() *stats.Table {
 
 func (n *FusedAdjustNode) Cost() float64 { return n.cost }
 
+// Build runs the columnar operator — the only ALIGN/NORMALIZE
+// implementation — even under ctx.Instrument or DisableColumnar, which
+// govern every other node, and materializes its output rows.
 func (n *FusedAdjustNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	if it, ok, err := materializeColBuild(n, ctx); err != nil || ok {
-		return it, err
-	}
-	l, err := n.Left.Build(ctx)
+	fa, err := n.buildCol(ctx)
 	if err != nil {
 		return nil, err
 	}
-	r, err := n.Right.Build(ctx)
+	return ctx.instrument(n, exec.NewMaterialize(fa)), nil
+}
+
+// buildCol bridges each input into the columnar operator: inputs that
+// cannot build columnar are built as rows and adapted with ToCol.
+func (n *FusedAdjustNode) buildCol(ctx *ExecCtx) (exec.ColIterator, error) {
+	l, err := toColInput(n.Left, ctx)
 	if err != nil {
 		return nil, err
 	}
-	fa, err := exec.NewFusedAdjust(l, r, n.Mode, n.Strategy, bindPairs(ctx, n.Keys), ctx.bind(n.Residual), n.PCol)
+	r, err := toColInput(n.Right, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.instrument(n, applyBatch(fa, n.batch)), nil
+	fa, err := exec.NewColFusedAdjust(l, r, n.Mode, n.Strategy, bindPairs(ctx, n.Keys), ctx.bind(n.Residual), n.PCol)
+	if err != nil {
+		return nil, err
+	}
+	return exec.ApplyColBatch(fa, n.batch), nil
 }
 
 func (n *FusedAdjustNode) Label() string {

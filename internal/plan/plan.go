@@ -57,13 +57,6 @@ type Flags struct {
 	// reduction (Sec. 8 future work: primitives specialized per operator).
 	// Off by default for paper fidelity.
 	EnableAntiJoinRewrite bool
-	// DisableFusedAdjust reverts ALIGN/NORMALIZE to the classic
-	// three-node pipeline (group-construction join → sort → Adjust)
-	// instead of the fused group-construction → plane-sweep operator.
-	// The fused node is the default (zero value) because it eliminates
-	// the per-pair concatenated-row allocation and the sort of the join
-	// output; the legacy path remains for differential testing.
-	DisableFusedAdjust bool
 	// DOP is the degree of parallelism for the exchange layer: plans whose
 	// estimated input cardinality reaches ParallelMinRows are rewritten to
 	// hash-partition work across DOP worker goroutines. 0 or 1 disables
@@ -88,12 +81,13 @@ type Flags struct {
 	// as the escape hatch for differential testing: optimized and
 	// unoptimized plans must return identical results.
 	DisableOptimizer bool
-	// DisableColumnar keeps every operator on the row ([]tuple.Tuple)
-	// path. The columnar (colbatch vector) path is the default where
-	// supported — scans, compilable filters, column projections, limits,
-	// fused adjust (hash/nestloop), union, exchange — with row fallback
-	// elsewhere; this flag exists for differential testing and as an
-	// escape hatch.
+	// DisableColumnar keeps every operator except the fused adjust on
+	// the row ([]tuple.Tuple) path. The columnar (colbatch vector) path
+	// is the default where supported — scans, compilable filters, column
+	// projections, limits, union, exchange — with row fallback elsewhere;
+	// this flag exists for differential testing and as an escape hatch.
+	// The fused adjust (ALIGN/NORMALIZE) has only a columnar operator, so
+	// it runs columnar under this flag too, and when instrumented.
 	DisableColumnar bool
 
 	// DisablePruning turns off zone-map segment pruning on scans of
@@ -133,9 +127,9 @@ func (f Flags) Fingerprint() string {
 		}
 		return '0'
 	}
-	return fmt.Sprintf("nl%c,hj%c,mj%c,so%c,ii%c,aj%c,fa%c,dop%d,pmr%g,fp%c,bs%d,op%c,co%c,zp%c",
+	return fmt.Sprintf("nl%c,hj%c,mj%c,so%c,ii%c,aj%c,dop%d,pmr%g,fp%c,bs%d,op%c,co%c,zp%c",
 		b(f.EnableNestLoop), b(f.EnableHashJoin), b(f.EnableMergeJoin), b(f.EnableSort),
-		b(f.EnableIntervalIndex), b(f.EnableAntiJoinRewrite), b(f.DisableFusedAdjust),
+		b(f.EnableIntervalIndex), b(f.EnableAntiJoinRewrite),
 		f.DOP, f.ParallelMinRows, b(f.ForceParallel), f.BatchSize, b(f.DisableOptimizer),
 		b(f.DisableColumnar), b(f.DisablePruning))
 }
@@ -1093,63 +1087,6 @@ func (d *DistinctNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
 	return ctx.instrument(d, applyBatch(exec.NewDistinct(in), d.batch)), nil
 }
 func (d *DistinctNode) Label() string { return "Distinct" }
-
-// ----------------------------------------------------- adjust (align/norm)
-
-// AdjustNode is the logical node for the plane-sweep primitive. Its row
-// and cost estimates are the paper's (Sec. 6.2 for alignment, Sec. 6.3 for
-// normalization):
-//
-//	align:     numRows = 3·input.numRows
-//	           cost    = input.cost + 2·cpu_op·input.numRows·numCols
-//	normalize: numRows = 2·input.numRows
-//	           cost    = input.cost + cpu_op·input.numRows·numCols
-type AdjustNode struct {
-	Input     Node
-	Mode      exec.AdjustMode
-	LeftWidth int
-	P1, P2    expr.Expr
-
-	out   schema.Schema
-	batch int
-}
-
-// Adjust builds the plane-sweep node over the group-construction stream.
-func (p *Planner) Adjust(input Node, mode exec.AdjustMode, leftWidth int, p1, p2 expr.Expr) *AdjustNode {
-	cols := make([]int, leftWidth)
-	for i := range cols {
-		cols[i] = i
-	}
-	return &AdjustNode{Input: input, Mode: mode, LeftWidth: leftWidth, P1: p1, P2: p2, out: input.Schema().Project(cols), batch: p.Flags.BatchSize}
-}
-
-func (a *AdjustNode) Schema() schema.Schema { return a.out }
-func (a *AdjustNode) Children() []Node      { return []Node{a.Input} }
-func (a *AdjustNode) Rows() float64 {
-	if a.Mode == exec.ModeAlign {
-		return 3 * a.Input.Rows()
-	}
-	return 2 * a.Input.Rows()
-}
-func (a *AdjustNode) Cost() float64 {
-	numCols := float64(a.LeftWidth)
-	if a.Mode == exec.ModeAlign {
-		return a.Input.Cost() + 2*CPUOperatorCost*a.Input.Rows()*numCols
-	}
-	return a.Input.Cost() + CPUOperatorCost*a.Input.Rows()*numCols
-}
-func (a *AdjustNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	in, err := a.Input.Build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ad, err := exec.NewAdjust(in, a.Mode, a.LeftWidth, ctx.bind(a.P1), ctx.bind(a.P2))
-	if err != nil {
-		return nil, err
-	}
-	return ctx.instrument(a, applyBatch(ad, a.batch)), nil
-}
-func (a *AdjustNode) Label() string { return "Adjust " + a.Mode.String() }
 
 // ----------------------------------------------------------------- absorb
 

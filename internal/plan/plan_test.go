@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -22,26 +23,30 @@ func equiCond(split int) expr.Expr {
 	return expr.Eq(expr.CI(0, value.KindInt), expr.CI(split, value.KindInt))
 }
 
-// TestPaperCostEstimates checks the Sec. 6.2/6.3 formulas: alignment
-// estimates 3× input rows, normalization 2×, with the stated CPU costs.
+// TestPaperCostEstimates checks the Sec. 6.2/6.3 estimates on the fused
+// adjust node: alignment emits 3× its group-join rows, normalization 2×,
+// and the sweep adds 2·cpu_op per output row to the group strategy's
+// cost.
 func TestPaperCostEstimates(t *testing.T) {
 	p := NewPlanner(DefaultFlags())
 	scan := p.Scan(sampleRel(100), "r")
-	adjA := p.Adjust(scan, exec.ModeAlign, 2, expr.TStart{}, expr.TEnd{})
-	if got := adjA.Rows(); got != 300 {
-		t.Fatalf("align rows: got %v want 300 (= 3·input)", got)
+	keys := []expr.EquiPair{{Left: expr.CI(0, value.KindInt), Right: expr.CI(0, value.KindInt)}}
+	align := p.FusedAdjustFrom(scan, scan, exec.ModeAlign, keys, nil, -1)
+	norm := p.FusedAdjustFrom(scan, scan, exec.ModeNormalize, keys, nil, 1)
+	if got := align.Rows(); got < 300 {
+		t.Fatalf("align rows: got %v, want at least 3·input", got)
 	}
-	wantCostA := scan.Cost() + 2*CPUOperatorCost*100*2
-	if got := adjA.Cost(); got != wantCostA {
-		t.Fatalf("align cost: got %v want %v", got, wantCostA)
+	if a, n := align.Rows(), norm.Rows(); a*2 != n*3 {
+		t.Fatalf("align rows %v vs normalize rows %v: want the 3:2 ratio", a, n)
 	}
-	adjN := p.Adjust(scan, exec.ModeNormalize, 2, expr.TStart{}, nil)
-	if got := adjN.Rows(); got != 200 {
-		t.Fatalf("normalize rows: got %v want 200 (= 2·input)", got)
-	}
-	wantCostN := scan.Cost() + CPUOperatorCost*100*2
-	if got := adjN.Cost(); got != wantCostN {
-		t.Fatalf("normalize cost: got %v want %v", got, wantCostN)
+	for _, n := range []*FusedAdjustNode{align, norm} {
+		if n.Strategy != exec.GroupHash {
+			t.Fatalf("%s: equi keys should pick the hash strategy", n.Label())
+		}
+		group := scan.Cost() + scan.Cost() + 100*(CPUOperatorCost+CPUTupleCost) + 100*CPUOperatorCost*2
+		if want := group + 2*CPUOperatorCost*n.Rows(); math.Abs(n.Cost()-want) > 1e-9 {
+			t.Fatalf("%s cost: got %v want %v", n.Label(), n.Cost(), want)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // trailing status (or error) frame — flushing after every frame so rows
 // reach the client as the executor produces them.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	req, params, err := decodeRequest(r)
+	req, params, err := decodeRequest(w, r)
 	if err != nil {
 		httpError(w, err)
 		return

@@ -360,7 +360,7 @@ type prepareResponse struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, params, err := decodeRequest(r)
+	req, params, err := decodeRequest(w, r)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -378,7 +378,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	req, _, err := decodeRequest(r)
+	req, _, err := decodeRequest(w, r)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -501,13 +501,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeRequest parses a JSON request body, converting params with
-// json.Number semantics so integers survive exactly.
-func decodeRequest(r *http.Request) (queryRequest, []value.Value, error) {
+// maxRequestBytes bounds the JSON body of /query, /query/stream and
+// /prepare: a statement, its parameters and session fields.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest parses a JSON request body of at most maxRequestBytes,
+// converting params with json.Number semantics so integers survive
+// exactly.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (queryRequest, []value.Value, error) {
 	var req queryRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.UseNumber()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return req, nil, fmt.Errorf("server: request body exceeds %d bytes", tooBig.Limit)
+		}
 		return req, nil, fmt.Errorf("server: bad request body: %v", err)
 	}
 	params := make([]value.Value, len(req.Params))

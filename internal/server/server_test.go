@@ -210,6 +210,33 @@ func TestHTTPStructuredErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRequestBodyLimit: a body over maxRequestBytes is refused with
+// a coded "request" error on every endpoint that decodes one, while a
+// body just under the limit still runs.
+func TestHTTPRequestBodyLimit(t *testing.T) {
+	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := func(size int) string {
+		const head, tail = `{"sql": "SELECT n FROM r WHERE n = '`, `'"}`
+		return head + strings.Repeat("x", size-len(head)-len(tail)) + tail
+	}
+	for _, path := range []string{"/query", "/query/stream", "/prepare"} {
+		code, out := post(t, ts, path, body(maxRequestBytes+1))
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d: %v", path, code, out)
+		}
+		e, _ := out["error"].(map[string]any)
+		if e["code"] != "request" || !strings.Contains(e["message"].(string), "exceeds") {
+			t.Fatalf("%s: oversize body error = %v", path, out)
+		}
+	}
+	if code, out := post(t, ts, "/query", body(maxRequestBytes)); code != http.StatusOK {
+		t.Fatalf("body at the limit: status %d: %v", code, out)
+	}
+}
+
 func TestHTTPBadRequests(t *testing.T) {
 	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
 	ts := httptest.NewServer(s.Handler())

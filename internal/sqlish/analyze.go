@@ -149,7 +149,7 @@ func (a *analyzer) buildFrom(fi fromItem) (plan.Node, *scope, error) {
 			return nil, nil, err
 		}
 		combined := combineScopes(lsc, rsc)
-		theta, err := a.resolve(f.Theta, combined, false)
+		theta, err := a.resolvePred("ALIGN ON", f.Theta, combined)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -210,7 +210,7 @@ func (a *analyzer) buildFrom(fi fromItem) (plan.Node, *scope, error) {
 		combined := combineScopes(lsc, rsc)
 		var cond expr.Expr
 		if f.On != nil {
-			cond, err = a.resolve(f.On, combined, false)
+			cond, err = a.resolvePred("JOIN ON", f.On, combined)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -310,6 +310,28 @@ func isAggName(name string) bool {
 		return true
 	}
 	return false
+}
+
+// resolvePred resolves a WHERE, JOIN … ON or ALIGN … ON predicate and
+// type-checks it with checkPred.
+func (a *analyzer) resolvePred(clause string, e sexpr, sc *scope) (expr.Expr, error) {
+	p, err := a.resolve(e, sc, false)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkPred(clause, p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// checkPred rejects a predicate whose static type is known and not bool.
+// An unknown type (ω, a $N parameter) passes; execution checks the value.
+func checkPred(clause string, p expr.Expr) error {
+	if k := p.Type(); k != value.KindNull && k != value.KindBool {
+		return analyzeError("%s predicate %s has type %s, want bool", clause, p, k)
+	}
+	return nil
 }
 
 // resolve compiles a surface expression against a scope. When allowAgg is

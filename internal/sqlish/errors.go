@@ -42,6 +42,11 @@ func requestError(format string, args ...any) *Error {
 	return &Error{Code: ErrRequest, Msg: fmt.Sprintf(format, args...), Pos: -1}
 }
 
+// analyzeError builds an ErrAnalyze error with no position.
+func analyzeError(format string, args ...any) *Error {
+	return &Error{Code: ErrAnalyze, Msg: fmt.Sprintf(format, args...), Pos: -1}
+}
+
 // Error is the pipeline's structured error: a stage code, a human-readable
 // message, and — for parse errors — the statement position that caused it.
 // The server renders it as the wire-level JSON error object

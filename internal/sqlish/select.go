@@ -70,7 +70,7 @@ func (a *analyzer) buildSelect(st *selectStmt) (plan.Node, *scope, error) {
 		seen[key] = true
 	}
 	if st.Where != nil {
-		pred, err := a.resolve(st.Where, sc, false)
+		pred, err := a.resolvePred("WHERE", st.Where, sc)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -341,6 +341,9 @@ func (a *analyzer) buildAggSelect(st *selectStmt, node plan.Node, sc *scope) (pl
 	if st.Having != nil {
 		having, err := mapHaving(a, st.Having, mapExpr)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkPred("HAVING", having); err != nil {
 			return nil, err
 		}
 		out = a.planner.Filter(out, having)

@@ -186,23 +186,41 @@ func TestErrors(t *testing.T) {
 	e := newHotelEngine()
 	cases := []struct {
 		name, sql string
+		code      string // when set, the error must carry this code
 	}{
-		{"unknown table", `SELECT * FROM nope`},
-		{"unknown column", `SELECT zz FROM r`},
-		{"align without alias", `SELECT * FROM (r ALIGN p ON true)`},
-		{"aggregate in where", `SELECT n FROM r WHERE COUNT(*) > 1`},
-		{"ts without te", `SELECT n, Ts FROM r`},
-		{"group ts without te", `SELECT n, COUNT(*) FROM r GROUP BY n, Ts`},
-		{"bad set op arity", `SELECT n FROM r UNION SELECT a, mn FROM p`},
-		{"unterminated string", `SELECT 'x FROM r`},
-		{"trailing garbage", `SELECT n FROM r )`},
+		{"unknown table", `SELECT * FROM nope`, ""},
+		{"unknown column", `SELECT zz FROM r`, ""},
+		{"align without alias", `SELECT * FROM (r ALIGN p ON true)`, ""},
+		{"aggregate in where", `SELECT n FROM r WHERE COUNT(*) > 1`, ""},
+		{"ts without te", `SELECT n, Ts FROM r`, ""},
+		{"group ts without te", `SELECT n, COUNT(*) FROM r GROUP BY n, Ts`, ""},
+		{"bad set op arity", `SELECT n FROM r UNION SELECT a, mn FROM p`, ""},
+		{"unterminated string", `SELECT 'x FROM r`, ""},
+		{"trailing garbage", `SELECT n FROM r )`, ""},
+		// Non-boolean predicates are type errors at analysis, not
+		// executor panics or runtime evaluation errors.
+		{"int where", `SELECT 0 FROM p WHERE 0`, ErrAnalyze},
+		{"arithmetic where", `SELECT * FROM p WHERE 1 + 1`, ErrAnalyze},
+		{"int align on", `SELECT * FROM (p ALIGN p ON 1) x`, ErrAnalyze},
+		{"string join on", `SELECT * FROM r JOIN p ON 'x'`, ErrAnalyze},
+		{"int having", `SELECT n FROM r GROUP BY n HAVING COUNT(*)`, ErrAnalyze},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := e.Query(tc.sql); err == nil {
+			_, _, err := e.Query(tc.sql)
+			if err == nil {
 				t.Fatalf("expected error for %s", tc.sql)
 			}
+			if got := AsError(err, "").Code; tc.code != "" && got != tc.code {
+				t.Fatalf("%s: code %q, want %q (%v)", tc.sql, got, tc.code, err)
+			}
 		})
+	}
+	// A predicate of unknown static type ($N, ω) is checked at execution.
+	for _, sql := range []string{`SELECT a FROM p WHERE $1`, `SELECT a FROM p WHERE NULL`} {
+		if _, err := Prepare(sql, e.catalog, plan.DefaultFlags()); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
 	}
 }
 
