@@ -205,8 +205,8 @@ func main() {
 	fmt.Printf("talignd listening on %s (dop=%d, cache=%d, max in-flight dop=%d)\n",
 		*addr, flags.DOP, *cacheSize, *maxDOP)
 	// ReadHeaderTimeout drops connections that never finish their request
-	// headers; bodies stay unbounded in time because /fragment staging
-	// ships whole relations.
+	// headers; bodies stay unbounded in time because a /fragment stage
+	// body carries a whole shard (each of its frames is size-bounded).
 	httpSrv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()

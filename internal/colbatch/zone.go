@@ -1,6 +1,10 @@
 package colbatch
 
-import "talign/internal/value"
+import (
+	"math"
+
+	"talign/internal/value"
+)
 
 // ZoneCol summarizes one attribute column of a segment: the minimum and
 // maximum non-ω values under value.Compare, or ω for both when every row
@@ -61,6 +65,17 @@ func ZoneOf(b *Batch) Zone {
 		v := &b.Cols[c]
 		zc := &z.Cols[c]
 		zc.Min, zc.Max = value.Null, value.Null
+		switch v.ph {
+		case physInt:
+			zoneTyped(v, v.Ints, zc, value.NewInt)
+			continue
+		case physStr:
+			zoneTyped(v, v.Strs, zc, value.NewString)
+			continue
+		case physFloat:
+			zoneFloats(v, zc)
+			continue
+		}
 		for i := 0; i < b.Len(); i++ {
 			x := v.Value(i)
 			if x.IsNull() {
@@ -76,4 +91,50 @@ func ZoneOf(b *Batch) Zone {
 		}
 	}
 	return z
+}
+
+// zoneTyped is ZoneOf's loop over flat int or string storage, where
+// value.Compare is the native order: same result, no boxing per row.
+func zoneTyped[T int64 | string](v *Vec, xs []T, zc *ZoneCol, box func(T) value.Value) {
+	var lo, hi T
+	seen := false
+	for i, x := range xs {
+		if v.IsNull(i) {
+			zc.Nulls++
+			continue
+		}
+		if !seen {
+			lo, hi, seen = x, x, true
+			continue
+		}
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	if seen {
+		zc.Min, zc.Max = box(lo), box(hi)
+	}
+}
+
+// zoneFloats is zoneTyped for floats under value.Compare's order: NaN
+// sorts first and -0 equals 0, so the first of equal values is kept.
+func zoneFloats(v *Vec, zc *ZoneCol) {
+	var lo, hi float64
+	seen := false
+	for i, x := range v.Floats {
+		if v.IsNull(i) {
+			zc.Nulls++
+			continue
+		}
+		nan := math.IsNaN(x)
+		switch {
+		case !seen:
+			lo, hi, seen = x, x, true
+		case x < lo || nan && !math.IsNaN(lo):
+			lo = x
+		case x > hi || !nan && math.IsNaN(hi):
+			hi = x
+		}
+	}
+	if seen {
+		zc.Min, zc.Max = value.NewFloat(lo), value.NewFloat(hi)
+	}
 }

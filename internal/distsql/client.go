@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,9 +14,9 @@ import (
 
 	"talign/internal/backoff"
 	"talign/internal/faultinject"
-	"talign/internal/interval"
 	"talign/internal/relation"
 	"talign/internal/sqlish"
+	"talign/internal/storage"
 	"talign/internal/tuple"
 	"talign/internal/value"
 	"talign/internal/wire"
@@ -67,27 +68,24 @@ func unavailable(w Worker, err error) error {
 	}
 }
 
-// post sends one fragment request, retrying transport failures and 503s
-// (a draining or restarting worker) with exponential backoff. The body
-// is re-marshaled per attempt; responses with structured error bodies
-// are decoded and returned as their coded errors.
-func (c *workerClient) post(ctx context.Context, w Worker, req *wire.FragmentRequest) (*http.Response, error) {
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
+// post sends one fragment body (a binary frame sequence), retrying
+// transport failures and 503s (a draining or restarting worker) with
+// exponential backoff. The same body bytes are re-sent per attempt;
+// responses with structured error bodies are decoded and returned as
+// their coded errors.
+func (c *workerClient) post(ctx context.Context, w Worker, body []byte) (*http.Response, error) {
 	c.fragments.Add(1)
-	c.bytesOut.Add(uint64(len(data)))
+	c.bytesOut.Add(uint64(len(body)))
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if err := faultinject.Hit("distsql.dispatch"); err != nil {
 			lastErr = err
 		} else {
-			hreq, herr := http.NewRequestWithContext(ctx, http.MethodPost, w.URL+"/fragment", bytes.NewReader(data))
+			hreq, herr := http.NewRequestWithContext(ctx, http.MethodPost, w.URL+"/fragment", bytes.NewReader(body))
 			if herr != nil {
 				return nil, herr
 			}
-			hreq.Header.Set("Content-Type", "application/json")
+			hreq.Header.Set("Content-Type", wire.FrameContentType)
 			resp, rerr := c.http.Do(hreq)
 			if rerr == nil && resp.StatusCode == http.StatusOK {
 				return resp, nil
@@ -130,42 +128,60 @@ func decodeHTTPError(resp *http.Response) error {
 	return fmt.Errorf("worker returned %s", resp.Status)
 }
 
-// ack performs one non-exec fragment operation (stage, unstage,
-// analyze) and decodes its acknowledgement.
+// requestBody encodes a fragment body that is just its request frame
+// (exec, unstage, analyze).
+func requestBody(req *wire.FragmentRequest) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := wire.NewFrameWriter(&buf).WriteJSON(wire.KindRequest, req); err != nil {
+		return nil, fmt.Errorf("distsql: encoding %s request: %v", req.Op, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// ack performs one non-exec fragment operation (unstage, analyze) and
+// decodes its acknowledgement.
 func (c *workerClient) ack(ctx context.Context, w Worker, req *wire.FragmentRequest) (wire.FragmentAck, error) {
-	resp, err := c.post(ctx, w, req)
+	body, err := requestBody(req)
+	if err != nil {
+		return wire.FragmentAck{}, err
+	}
+	return c.ackBody(ctx, w, req.Op, body)
+}
+
+// ackBody posts a complete fragment body and decodes the
+// acknowledgement.
+func (c *workerClient) ackBody(ctx context.Context, w Worker, op string, body []byte) (wire.FragmentAck, error) {
+	resp, err := c.post(ctx, w, body)
 	if err != nil {
 		return wire.FragmentAck{}, err
 	}
 	defer resp.Body.Close()
 	var out wire.FragmentAck
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("distsql: bad %s ack from %s: %v", req.Op, w.Name, err)
+		return out, fmt.Errorf("distsql: bad %s ack from %s: %v", op, w.Name, err)
 	}
 	return out, nil
 }
 
-// stage registers rel under name on worker w.
+// stage registers rel under name on worker w: a request frame, one rows
+// frame per storage.DefaultSegmentRows rows (at least one, so an empty
+// relation still carries its schema) and a status frame with the row
+// count, which the worker checks before registering anything.
 func (c *workerClient) stage(ctx context.Context, w Worker, name string, rel *relation.Relation) error {
-	cols := make([]string, 0, rel.Schema.Len())
-	types := make([]string, 0, rel.Schema.Len())
-	for _, at := range rel.Schema.Attrs {
-		cols = append(cols, at.Name)
-		types = append(types, at.Type.String())
+	var buf bytes.Buffer
+	fw := wire.NewFrameWriter(&buf)
+	err := fw.WriteJSON(wire.KindRequest, &wire.FragmentRequest{Op: wire.FragmentStage, Name: name})
+	for lo := 0; err == nil && (lo == 0 || lo < rel.Len()); lo += storage.DefaultSegmentRows {
+		err = fw.WriteRows(rel.Schema, rel.Tuples[lo:min(lo+storage.DefaultSegmentRows, rel.Len())])
 	}
-	rows := make([][]any, rel.Len())
-	for i, t := range rel.Tuples {
-		row := make([]any, 0, len(t.Vals)+2)
-		for _, v := range t.Vals {
-			row = append(row, wire.Cell(v))
-		}
-		row = append(row, t.T.Ts, t.T.Te)
-		rows[i] = row
+	if err == nil {
+		err = fw.WriteFrame(wire.Frame{Frame: wire.FrameStatus, RowCount: int64(rel.Len())})
 	}
-	c.rowsOut.Add(uint64(len(rows)))
-	_, err := c.ack(ctx, w, &wire.FragmentRequest{
-		Op: wire.FragmentStage, Name: name, Columns: cols, Types: types, Rows: rows,
-	})
+	if err != nil {
+		return err
+	}
+	c.rowsOut.Add(uint64(rel.Len()))
+	_, err = c.ackBody(ctx, w, wire.FragmentStage, buf.Bytes())
 	return err
 }
 
@@ -182,8 +198,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // workerStream is one worker's in-flight exec fragment: a goroutine
-// decodes its NDJSON frames into tuple batches on a bounded channel; err
-// is set before the channel closes (read it only after the close).
+// decodes its binary frames into tuple batches on a bounded channel;
+// err is set before the channel closes (read it only after the close).
 type workerStream struct {
 	worker Worker
 	ch     chan []tuple.Tuple
@@ -191,107 +207,81 @@ type workerStream struct {
 }
 
 // startExec dispatches an exec fragment to w and streams its decoded
-// batches. The stream ends with a closed channel; a truncated stream (a
-// worker killed mid-query) surfaces as a structured "unavailable" error
-// naming the worker.
-func (c *workerClient) startExec(ctx context.Context, w Worker, sql string, params []any, batch int) *workerStream {
+// batches. The stream ends with a closed channel; a truncated or
+// malformed stream (a worker killed mid-query) surfaces as a structured
+// "unavailable" error naming the worker.
+func (c *workerClient) startExec(ctx context.Context, w Worker, sql string, params []value.Value, batch int) *workerStream {
 	ws := &workerStream{worker: w, ch: make(chan []tuple.Tuple, 4)}
 	go func() {
 		defer close(ws.ch)
-		resp, err := c.post(ctx, w, &wire.FragmentRequest{Op: wire.FragmentExec, SQL: sql, Params: params, Batch: batch})
+		req := &wire.FragmentRequest{Op: wire.FragmentExec, SQL: sql, Batch: batch}
+		for _, v := range params {
+			req.Params = append(req.Params, wire.Cell(v))
+			req.ParamTypes = append(req.ParamTypes, v.Kind().String())
+		}
+		body, err := requestBody(req)
+		var resp *http.Response
+		if err == nil {
+			resp, err = c.post(ctx, w, body)
+		}
 		if err != nil {
 			ws.err = err
 			return
 		}
 		defer resp.Body.Close()
-		dec := json.NewDecoder(&countingReader{r: resp.Body, n: &c.bytesIn})
-		dec.UseNumber()
-		var types []string
+		bad := func(err error) error {
+			return &sqlish.Error{
+				Code: sqlish.ErrUnavailable,
+				Msg:  fmt.Sprintf("worker %s (%s): bad stream: %v", w.Name, w.URL, err),
+				Pos:  -1,
+			}
+		}
+		// Each rows frame is decoded and materialized before the next
+		// frame overwrites the reader's buffer: the decoded batch's int,
+		// float and time columns alias it.
+		fr := wire.NewFrameReader(&countingReader{r: resp.Body, n: &c.bytesIn})
 		for {
-			var f wire.Frame
-			if err := dec.Decode(&f); err != nil {
-				ws.err = &sqlish.Error{
-					Code: sqlish.ErrUnavailable,
-					Msg:  fmt.Sprintf("worker %s (%s): stream truncated: %v", w.Name, w.URL, err),
-					Pos:  -1,
-				}
+			kind, payload, err := fr.Next()
+			if err == io.EOF {
+				err = errors.New("stream truncated before its status frame")
+			}
+			if err != nil {
+				ws.err = bad(err)
 				return
 			}
-			switch f.Frame {
-			case wire.FrameSchema:
-				types = f.Types
-			case wire.FrameRows:
-				batchTuples, derr := decodeRows(f.Rows, types)
+			switch kind {
+			case wire.KindSchema:
+				// Rows frames describe their own columns and cell kinds.
+			case wire.KindRows:
+				tuples, _, derr := wire.DecodeRows(payload, nil)
 				if derr != nil {
-					ws.err = fmt.Errorf("distsql: worker %s: %v", w.Name, derr)
+					ws.err = bad(derr)
 					return
 				}
-				c.rowsIn.Add(uint64(len(batchTuples)))
+				c.rowsIn.Add(uint64(len(tuples)))
 				select {
-				case ws.ch <- batchTuples:
+				case ws.ch <- tuples:
 				case <-ctx.Done():
 					ws.err = ctx.Err()
 					return
 				}
-			case wire.FrameStatus:
+			case wire.KindStatus:
 				return
-			case wire.FrameError:
+			case wire.KindError:
+				var f wire.Frame
+				if uerr := wire.UnmarshalFrame(payload, &f); uerr != nil || f.Error == nil {
+					ws.err = bad(errors.New("malformed error frame"))
+					return
+				}
 				ws.err = &sqlish.Error{Code: f.Error.Code, Msg: fmt.Sprintf("worker %s: %s", w.Name, f.Error.Message), Pos: -1}
 				return
 			default:
-				ws.err = fmt.Errorf("distsql: worker %s: unexpected %q frame", w.Name, f.Frame)
+				ws.err = bad(fmt.Errorf("unexpected frame kind %d", kind))
 				return
 			}
 		}
 	}()
 	return ws
-}
-
-// decodeRows converts wire rows (visible cells then ts, te) back to
-// tuples, steering cell decoding by the fragment's schema types.
-func decodeRows(rows [][]any, types []string) ([]tuple.Tuple, error) {
-	out := make([]tuple.Tuple, len(rows))
-	for i, row := range rows {
-		if len(row) < 2 {
-			return nil, fmt.Errorf("short row (%d cells)", len(row))
-		}
-		vals := make([]value.Value, len(row)-2)
-		for j := range vals {
-			typ := ""
-			if j < len(types) {
-				typ = types[j]
-			}
-			v, err := wire.ValueAs(row[j], typ)
-			if err != nil {
-				return nil, fmt.Errorf("bad cell: %v", err)
-			}
-			vals[j] = v
-		}
-		ts, err := cellInt(row[len(row)-2])
-		if err != nil {
-			return nil, fmt.Errorf("bad ts: %v", err)
-		}
-		te, err := cellInt(row[len(row)-1])
-		if err != nil {
-			return nil, fmt.Errorf("bad te: %v", err)
-		}
-		out[i] = tuple.Tuple{Vals: vals, T: interval.Interval{Ts: ts, Te: te}}
-	}
-	return out, nil
-}
-
-// cellInt decodes a ts/te bound (int64 in-process, json.Number off the
-// wire).
-func cellInt(x any) (int64, error) {
-	switch t := x.(type) {
-	case int64:
-		return t, nil
-	case json.Number:
-		return t.Int64()
-	case float64:
-		return int64(t), nil
-	}
-	return 0, fmt.Errorf("unsupported bound type %T", x)
 }
 
 // mergeSource concatenates worker streams in worker order (deterministic

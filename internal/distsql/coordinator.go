@@ -682,15 +682,13 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 			workerSQL, wpIdx = body, ps
 		}
 	}
-	var wparams []any
-	if pl.verbatim {
-		wparams = cellValues(params)
-	} else {
+	wparams := params
+	if !pl.verbatim {
 		mapped, merr := mapParams(wpIdx, params)
 		if merr != nil {
 			return nil, merr
 		}
-		wparams = cellValues(mapped)
+		wparams = mapped
 	}
 
 	streams := make([]*workerStream, len(c.topo.Workers))
@@ -817,18 +815,6 @@ func mapParams(idxs []int, params []value.Value) ([]value.Value, error) {
 		out[i] = params[idx-1]
 	}
 	return out, nil
-}
-
-// cellValues converts bound parameters to their wire cells.
-func cellValues(vals []value.Value) []any {
-	if len(vals) == 0 {
-		return nil
-	}
-	out := make([]any, len(vals))
-	for i, v := range vals {
-		out[i] = wire.Cell(v)
-	}
-	return out
 }
 
 // cleanupSource runs a cleanup (unstaging repartition temps) when the

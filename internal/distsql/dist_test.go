@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"runtime"
@@ -14,12 +15,14 @@ import (
 	"time"
 
 	"talign/internal/faultinject"
+	"talign/internal/interval"
 	"talign/internal/plan"
 	"talign/internal/randrel"
 	"talign/internal/relation"
 	"talign/internal/schema"
 	"talign/internal/server"
 	"talign/internal/sqlish"
+	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
@@ -195,6 +198,150 @@ func TestDistributedDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// kindsRelation holds every value kind with the cells that text
+// encodings get wrong: non-finite, negative-zero, whole and huge floats;
+// strings with a newline, a NUL, or the text of a float or a period;
+// periods, bools, a numeric column mixing ints and floats, and ω in
+// every column.
+func kindsRelation() *relation.Relation {
+	rel := relation.New(schema.MustNew(
+		schema.Attr{Name: "k", Type: value.KindInt},
+		schema.Attr{Name: "f", Type: value.KindFloat},
+		schema.Attr{Name: "s", Type: value.KindString},
+		schema.Attr{Name: "p", Type: value.KindInterval},
+		schema.Attr{Name: "b", Type: value.KindBool},
+		schema.Attr{Name: "m", Type: value.KindInt},
+	))
+	floats := []value.Value{
+		value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1)), value.NewFloat(math.Inf(-1)),
+		value.NewFloat(math.Copysign(0, -1)), value.NewFloat(2.0), value.NewFloat(1e300), value.Null,
+	}
+	strs := []value.Value{
+		value.NewString("a\nb"), value.NewString("x\x00y"), value.NewString("NaN"),
+		value.NewString("[1, 2)"), value.NewString(""), value.Null,
+	}
+	for i := 0; i < 24; i++ {
+		k := value.NewInt(int64(i % 5))
+		if i%11 == 10 {
+			k = value.Null
+		}
+		p := value.NewInterval(interval.New(int64(i), int64(i+1+i%4)))
+		if i%7 == 3 {
+			p = value.Null
+		}
+		b := value.NewBool(i%2 == 0)
+		if i%9 == 4 {
+			b = value.Null
+		}
+		m := value.NewInt(int64(i - 12))
+		switch i % 4 {
+		case 1:
+			m = value.NewFloat(float64(i) + 0.5)
+		case 2:
+			m = value.NewFloat(float64(i))
+		}
+		rel.MustAppend(tuple.Tuple{
+			Vals: []value.Value{k, floats[i%len(floats)], strs[i%len(strs)], p, b, m},
+			T:    interval.New(int64(i%6), int64(i%6+3)),
+		})
+	}
+	return rel
+}
+
+// exactKeys renders rows with every cell's kind and exact bits, sorted:
+// unlike canonKeys it tells -0 from 0, NaN payloads apart, and a float
+// 2.0 from an int 2.
+func exactKeys(rel *relation.Relation) []string {
+	keys := make([]string, rel.Len())
+	for i, t := range rel.Tuples {
+		var sb strings.Builder
+		for _, v := range t.Vals {
+			switch v.Kind() {
+			case value.KindFloat:
+				fmt.Fprintf(&sb, "float:%x|", math.Float64bits(v.Float()))
+			default:
+				fmt.Fprintf(&sb, "%s:%q|", v.Kind(), v.String())
+			}
+		}
+		fmt.Fprintf(&sb, "%s", t.T)
+		keys[i] = sb.String()
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// kindQueries project, compute and align over every kind. ABS, GREATEST
+// and LEAST return float, period and per-row int-or-float cells whose
+// text forms ("+Inf", "[0, 3)", 2) read back as the wrong kind under a
+// type hint, so only a kind-exact encoding gets them right. Parameters
+// of those kinds must reach the workers exactly too.
+var kindQueries = []diffQuery{
+	{sql: "SELECT * FROM t"},
+	{sql: "SELECT k, ABS(f) x FROM t"},
+	{sql: "SELECT k, GREATEST(p, p) g FROM t"},
+	{sql: "SELECT k, LEAST(f, k) l FROM t"},
+	{sql: "SELECT k, GREATEST(m, k) g, ABS(m) a FROM t"},
+	{sql: "SELECT k, s, b FROM t WHERE s = 'NaN' OR s = '[1, 2)' OR s = ''"},
+	{sql: "SELECT k, f, s, Ts, Te FROM (t a NORMALIZE t c USING (k)) x"},
+	{sql: "SELECT f, COUNT(*) n FROM t GROUP BY f"},
+	{sql: "SELECT k, f FROM t WHERE f = $1 OR f = $2", params: []value.Value{value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1))}},
+	{sql: "SELECT k, $1 x, $2 y, $3 z FROM t", params: []value.Value{
+		value.NewFloat(2), value.NewInterval(interval.New(1, 2)), value.NewString("[1, 2)"),
+	}},
+}
+
+// TestDistributedValueKinds is the differential over every value kind:
+// each kindQueries shape must return the same rows, cell kinds and bits
+// included, through 1, 2 and 3 workers as on a single node — buffered
+// and streamed.
+func TestDistributedValueKinds(t *testing.T) {
+	rels := map[string]*relation.Relation{"t": kindsRelation()}
+	single := singleNode(t, rels)
+	for _, workers := range []int{1, 2, 3} {
+		cl := newCluster(t, workers, nil)
+		cl.load(t, rels)
+		for _, q := range kindQueries {
+			tag := fmt.Sprintf("workers=%d %q", workers, q.sql)
+			want, err := single.QueryContext(context.Background(), "", "", q.sql, q.params)
+			if err != nil {
+				t.Fatalf("%s single node: %v", tag, err)
+			}
+			got, err := cl.csrv.QueryContext(context.Background(), "", "", q.sql, q.params)
+			if err != nil {
+				t.Fatalf("%s buffered: %v", tag, err)
+			}
+			rs, err := cl.csrv.StreamBatch(context.Background(), "", "", q.sql, q.params, 3)
+			if err != nil {
+				t.Fatalf("%s streamed: %v", tag, err)
+			}
+			streamed := relation.New(want.Rel.Schema)
+			for {
+				b, nerr := rs.Next()
+				if nerr != nil {
+					t.Fatalf("%s streamed: %v", tag, nerr)
+				}
+				if len(b) == 0 {
+					break
+				}
+				streamed.Tuples = append(streamed.Tuples, b...)
+			}
+			rs.Close()
+			wk := exactKeys(want.Rel)
+			for mode, rel := range map[string]*relation.Relation{"buffered": got.Rel, "streamed": streamed} {
+				gk := exactKeys(rel)
+				if len(gk) != len(wk) {
+					t.Fatalf("%s %s: %d rows, want %d", tag, mode, len(gk), len(wk))
+				}
+				for i := range gk {
+					if gk[i] != wk[i] {
+						t.Fatalf("%s %s: sorted row %d\n got %s\nwant %s", tag, mode, i, gk[i], wk[i])
+					}
+				}
+			}
+		}
 	}
 }
 

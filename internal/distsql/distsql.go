@@ -1,10 +1,10 @@
 // Package distsql turns talignd into a sharded cluster: a coordinator
 // hash-partitions tables by alignment key across N worker talignd
 // nodes, rewrites each statement into per-shard SQL fragments, executes
-// them over the wire-level fragment protocol (POST /fragment, the same
-// NDJSON frames as /query/stream), and merges the worker streams back
-// into the ordinary client protocol — clients cannot tell a coordinator
-// from a single node.
+// them over the wire-level fragment protocol (POST /fragment, binary
+// frames whose rows are storage segment bytes; see package wire), and
+// merges the worker streams back into the ordinary client protocol —
+// clients cannot tell a coordinator from a single node.
 //
 // The planner picks the cheapest correct strategy per statement:
 //

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"talign/internal/relation"
-	"talign/internal/schema"
 	"talign/internal/tuple"
 	"talign/internal/value"
 )
@@ -56,36 +55,4 @@ func partitionTuples(tuples []tuple.Tuple, idx, n int) [][]tuple.Tuple {
 		shards[s] = append(shards[s], t)
 	}
 	return shards
-}
-
-// kindOf maps a wire type name back to a value kind ("null" and unknown
-// names map to KindNull, which only ever describes all-ω columns).
-func kindOf(name string) value.Kind {
-	switch name {
-	case "bool":
-		return value.KindBool
-	case "int":
-		return value.KindInt
-	case "float":
-		return value.KindFloat
-	case "string":
-		return value.KindString
-	case "period", "interval":
-		return value.KindInterval
-	}
-	return value.KindNull
-}
-
-// schemaOf rebuilds a visible-attribute schema from wire columns/types
-// (the trailing ts/te pair already stripped by the caller).
-func schemaOf(cols, types []string) (schema.Schema, error) {
-	attrs := make([]schema.Attr, len(cols))
-	for i, c := range cols {
-		typ := ""
-		if i < len(types) {
-			typ = types[i]
-		}
-		attrs[i] = schema.Attr{Name: c, Type: kindOf(typ)}
-	}
-	return schema.New(attrs...)
 }

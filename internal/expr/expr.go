@@ -548,10 +548,30 @@ func (f Func) Bind(s schema.Schema) (Expr, error) {
 	return out, nil
 }
 
+// Type is the function's static result kind. ABS returns its
+// argument's kind, and GREATEST/LEAST the kind their non-ω arguments
+// agree on; arguments of mixed kinds (int and float) make the result
+// kind vary by row, which reports as KindNull (untyped).
 func (f Func) Type() value.Kind {
 	info, err := funcInfo(f.Name, len(f.Args))
 	if err != nil {
 		return value.KindNull
+	}
+	switch f.Name {
+	case "ABS":
+		return f.Args[0].Type()
+	case "GREATEST", "LEAST":
+		common := value.KindNull
+		for _, a := range f.Args {
+			switch k := a.Type(); {
+			case k == value.KindNull:
+			case common == value.KindNull:
+				common = k
+			case k != common:
+				return value.KindNull
+			}
+		}
+		return common
 	}
 	return info
 }

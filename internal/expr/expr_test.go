@@ -183,6 +183,36 @@ func TestIntervalFunctions(t *testing.T) {
 	}
 }
 
+// TestFuncStaticKinds: ABS keeps its argument's kind and GREATEST/LEAST
+// report the kind their non-ω arguments share; mixed numeric arguments
+// make the per-row kind vary, which reports as untyped.
+func TestFuncStaticKinds(t *testing.T) {
+	flt := Const{value.NewFloat(-1.5)}
+	per := Const{value.NewInterval(interval.New(0, 3))}
+	null := Const{value.Null}
+	for _, tc := range []struct {
+		e    Expr
+		want value.Kind
+	}{
+		{Call("ABS", Int(-4)), value.KindInt},
+		{Call("ABS", flt), value.KindFloat},
+		{Call("GREATEST", Int(3), Int(9)), value.KindInt},
+		{Call("GREATEST", per, per), value.KindInterval},
+		{Call("LEAST", flt, null, flt), value.KindFloat},
+		{Call("LEAST", C("b"), C("b")), value.KindString},
+		{Call("LEAST", flt, Int(3)), value.KindNull},
+		{Call("GREATEST", null, null), value.KindNull},
+	} {
+		bound, err := tc.e.Bind(sch())
+		if err != nil {
+			t.Fatalf("bind %s: %v", tc.e, err)
+		}
+		if got := bound.Type(); got != tc.want {
+			t.Errorf("%s: static kind %s, want %s", tc.e, got, tc.want)
+		}
+	}
+}
+
 func TestOwnTupleTime(t *testing.T) {
 	en := env(value.NewInt(7), value.NewString("x"), value.Null)
 	if got := evalOn(t, TStart{}, en); got.Int() != 10 {

@@ -502,8 +502,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxRequestBytes bounds the JSON body of /query, /query/stream and
-// /prepare: a statement, its parameters and session fields.
-const maxRequestBytes = 1 << 20
+// /prepare: a statement, its parameters and session fields. It is the
+// same bound as a /fragment request frame's.
+const maxRequestBytes = wire.MaxRequestBytes
 
 // decodeRequest parses a JSON request body of at most maxRequestBytes,
 // converting params with json.Number semantics so integers survive

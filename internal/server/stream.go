@@ -48,6 +48,10 @@ func (rs *RowStream) Columns() []string { return rs.cols }
 // Types lists the column type names, parallel to Columns.
 func (rs *RowStream) Types() []string { return rs.types }
 
+// Schema is the visible-attribute schema of the row batches (Columns
+// without the trailing "ts", "te").
+func (rs *RowStream) Schema() schema.Schema { return rs.sch }
+
 // Plan holds the plan rendering for EXPLAIN/ANALYZE-style statements
 // (empty for row-producing statements).
 func (rs *RowStream) Plan() string { return rs.plan }

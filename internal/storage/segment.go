@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"unsafe"
 
@@ -49,166 +50,77 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
+// segPreamble is the framing ahead of a segment's header: magic,
+// version and body length (see frame).
+const segPreamble = len(segMagic) + 8
+
 // EncodeSegment serializes a batch (no selection vector) into the
 // segment file format, including its zone map. The encoding is
 // deterministic: the same batch always produces the same bytes (the
 // golden-file tests depend on this).
-func EncodeSegment(b *colbatch.Batch) []byte {
+func EncodeSegment(b *colbatch.Batch) []byte { return AppendSegment(nil, b) }
+
+// colPlan is one column's region layout plus the bitmap it will write.
+type colPlan struct {
+	colRegion
+	nulls []uint64
+}
+
+// AppendSegment appends the segment encoding of b (see EncodeSegment)
+// to dst and returns the extended slice. Region offsets are relative to
+// the segment's first byte, wherever that lands in dst. Every region is
+// sized before anything is written, so dst grows at most once, and an
+// append into a buffer with enough room allocates only the zone map.
+func AppendSegment(dst []byte, b *colbatch.Batch) []byte {
 	if b.Sel != nil {
 		panic("storage: EncodeSegment over a selection")
 	}
 	rows := b.Len()
 	zone := colbatch.ZoneOf(b)
 
-	// Payload regions are laid out before the header is sized: offsets
-	// are absolute, so the payload base (preamble + header length) must
-	// be known first. Encode the header twice: once with zero offsets to
-	// learn its length, then for real.
-	type regionData struct {
-		data, aux, nulls []byte
-	}
-	regions := make([]regionData, len(b.Cols))
-	encs := make([]uint8, len(b.Cols))
+	// Size pass. The header length does not depend on the offsets (they
+	// are fixed u64s), so it fixes the payload base; each region then
+	// starts at the first 8-byte boundary after the previous one.
+	var stack [8]colPlan
+	cols := stack[:0]
+	hdrLen := 4 + 2 + zoneLen(zone) + 2*8
 	for c := range b.Cols {
-		v := &b.Cols[c]
-		var r regionData
-		switch {
-		case is(v.IntsRaw()):
-			xs, _ := v.IntsRaw()
-			encs[c] = encInt
-			r.data = appendInt64s(nil, xs)
-		case isF(v.FloatsRaw()):
-			xs, _ := v.FloatsRaw()
-			encs[c] = encFloat
-			r.data = appendFloat64s(nil, xs)
-		case isS(v.StrsRaw()):
-			xs, _ := v.StrsRaw()
-			encs[c] = encStr
-			r.aux, r.data = encodeOffsets(len(xs), func(i int) []byte { return []byte(xs[i]) })
-		case isB(v.BoolsRaw()):
-			xs, _ := v.BoolsRaw()
-			encs[c] = encBool
-			r.data = make([]byte, len(xs))
-			for i, x := range xs {
-				if x {
-					r.data[i] = 1
-				}
-			}
-		case isIv(v.IntervalsRaw()):
-			ts, te, _ := v.IntervalsRaw()
-			encs[c] = encInterval
-			r.data = appendInt64s(nil, ts)
-			r.aux = appendInt64s(nil, te)
-		default:
-			xs, _ := v.AnyRaw()
-			encs[c] = encAny
-			var e enc
-			r.aux, r.data = encodeOffsets(len(xs), func(i int) []byte {
-				e.b = e.b[:0]
-				e.val(xs[i])
-				return e.b
-			})
-		}
-		if bm := v.NullBitmap(); bm != nil {
-			r.nulls = appendUint64s(nil, bm)
-		}
-		regions[c] = r
+		hdrLen += 2 + len(b.Schema.Attrs[c].Name) + 1 + 1 + 6*8
+		cols = append(cols, planColumn(&b.Cols[c]))
 	}
-	tsRegion := appendInt64s(nil, b.TS)
-	teRegion := appendInt64s(nil, b.TE)
-
-	layout := func(payloadBase uint64) (hdr segHeader, payload []byte) {
-		hdr = segHeader{rows: rows, schema: b.Schema, zone: zone, cols: make([]colRegion, len(b.Cols))}
-		place := func(region []byte) uint64 {
-			for uint64(len(payload))%8 != 0 {
-				payload = append(payload, 0)
-			}
-			off := payloadBase + uint64(len(payload))
-			payload = append(payload, region...)
-			return off
-		}
-		hdr.tsOff = place(tsRegion)
-		hdr.teOff = place(teRegion)
-		for c, r := range regions {
-			cr := colRegion{enc: encs[c], dataLen: uint64(len(r.data)), auxLen: uint64(len(r.aux)), nullsLen: uint64(len(r.nulls))}
-			cr.dataOff = place(r.data)
-			cr.auxOff = place(r.aux)
-			cr.nullsOff = place(r.nulls)
-			hdr.cols[c] = cr
-		}
-		return hdr, payload
+	end := uint64(segPreamble + hdrLen)
+	place := func(n uint64) uint64 {
+		off := align8(end)
+		end = off + n
+		return off
+	}
+	tsOff := place(uint64(rows) * 8)
+	teOff := place(uint64(rows) * 8)
+	for i := range cols {
+		c := &cols[i]
+		c.dataOff = place(c.dataLen)
+		c.auxOff = place(c.auxLen)
+		c.nullsOff = place(c.nullsLen)
 	}
 
-	// Pass 1 sizes the header; pass 2 uses the resulting payload base.
-	// The header length is offset-independent (offsets are fixed u64s).
-	probeHdr, _ := layout(0)
-	hdrLen := len(encodeSegHeader(probeHdr))
-	preamble := len(segMagic) + 8 // magic + version + body length
-	base := uint64(preamble + hdrLen)
-	for base%8 != 0 {
-		base++ // header is padded so the payload starts aligned
+	start := len(dst)
+	if need := int(end) + 4; cap(dst)-start < need {
+		dst = append(make([]byte, 0, start+need), dst...)
 	}
-	hdr, payload := layout(base)
-	body := encodeSegHeader(hdr)
-	for uint64(preamble+len(body))%8 != 0 {
-		body = append(body, 0)
-	}
-	body = append(body, payload...)
-	return frame(segMagic, SegmentVersion, body)
-}
-
-// Tiny ok-adapters so the encoder switch reads as layout dispatch.
-func is(_ []int64, ok bool) bool      { return ok }
-func isF(_ []float64, ok bool) bool   { return ok }
-func isS(_ []string, ok bool) bool    { return ok }
-func isB(_ []bool, ok bool) bool      { return ok }
-func isIv(_, _ []int64, ok bool) bool { return ok }
-
-func appendInt64s(dst []byte, xs []int64) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
-	}
-	return dst
-}
-
-func appendFloat64s(dst []byte, xs []float64) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-	}
-	return dst
-}
-
-func appendUint64s(dst []byte, xs []uint64) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, x)
-	}
-	return dst
-}
-
-// encodeOffsets builds the (rows+1)-entry u32 offset region plus the
-// concatenated blob for variable-width cells.
-func encodeOffsets(n int, cell func(i int) []byte) (aux, data []byte) {
-	aux = binary.LittleEndian.AppendUint32(aux, 0)
-	for i := 0; i < n; i++ {
-		data = append(data, cell(i)...)
-		aux = binary.LittleEndian.AppendUint32(aux, uint32(len(data)))
-	}
-	return aux, data
-}
-
-// encodeSegHeader serializes the header section.
-func encodeSegHeader(h segHeader) []byte {
-	var e enc
-	e.u32(uint32(h.rows))
-	e.u16(uint16(len(h.schema.Attrs)))
-	for _, a := range h.schema.Attrs {
+	e := enc{b: dst}
+	e.b = append(e.b, segMagic...)
+	e.u32(SegmentVersion)
+	e.u32(uint32(end - uint64(segPreamble)))
+	e.u32(uint32(rows))
+	e.u16(uint16(len(b.Schema.Attrs)))
+	for _, a := range b.Schema.Attrs {
 		e.str(a.Name)
 		e.u8(uint8(a.Type))
 	}
-	encodeZone(&e, h.zone)
-	e.u64(h.tsOff)
-	e.u64(h.teOff)
-	for _, c := range h.cols {
+	encodeZone(&e, zone)
+	e.u64(tsOff)
+	e.u64(teOff)
+	for _, c := range cols {
 		e.u8(c.enc)
 		e.u64(c.dataOff)
 		e.u64(c.dataLen)
@@ -217,7 +129,140 @@ func encodeSegHeader(h segHeader) []byte {
 		e.u64(c.nullsOff)
 		e.u64(c.nullsLen)
 	}
-	return e.b
+
+	// Write pass: each region is zero-padded up to its planned offset.
+	at := func(off uint64) {
+		for uint64(len(e.b)-start) < off {
+			e.b = append(e.b, 0)
+		}
+	}
+	at(tsOff)
+	e.int64s(b.TS)
+	at(teOff)
+	e.int64s(b.TE)
+	for i := range cols {
+		c, v := &cols[i], &b.Cols[i]
+		at(c.dataOff)
+		switch c.enc {
+		case encInt:
+			xs, _ := v.IntsRaw()
+			e.int64s(xs)
+		case encFloat:
+			xs, _ := v.FloatsRaw()
+			// The same 8 bytes per value as math.Float64bits.
+			e.int64s(unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)))
+		case encStr:
+			xs, _ := v.StrsRaw()
+			for _, x := range xs {
+				e.b = append(e.b, x...)
+			}
+			at(c.auxOff)
+			e.offsets(len(xs), func(i int) int { return len(xs[i]) })
+		case encBool:
+			xs, _ := v.BoolsRaw()
+			for _, x := range xs {
+				if x {
+					e.u8(1)
+				} else {
+					e.u8(0)
+				}
+			}
+		case encInterval:
+			ts, te, _ := v.IntervalsRaw()
+			e.int64s(ts)
+			at(c.auxOff)
+			e.int64s(te)
+		default:
+			xs, _ := v.AnyRaw()
+			for _, x := range xs {
+				e.val(x)
+			}
+			at(c.auxOff)
+			e.offsets(len(xs), func(i int) int { return valLen(xs[i]) })
+		}
+		at(c.nullsOff)
+		for _, w := range c.nulls {
+			e.u64(w)
+		}
+	}
+	return binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b[start:]))
+}
+
+// planColumn picks a column's encoding and sizes its regions.
+func planColumn(v *colbatch.Vec) colPlan {
+	var p colPlan
+	if xs, ok := v.IntsRaw(); ok {
+		p.enc, p.dataLen = encInt, uint64(len(xs))*8
+	} else if xs, ok := v.FloatsRaw(); ok {
+		p.enc, p.dataLen = encFloat, uint64(len(xs))*8
+	} else if xs, ok := v.StrsRaw(); ok {
+		p.enc, p.auxLen = encStr, uint64(len(xs)+1)*4
+		for _, x := range xs {
+			p.dataLen += uint64(len(x))
+		}
+	} else if xs, ok := v.BoolsRaw(); ok {
+		p.enc, p.dataLen = encBool, uint64(len(xs))
+	} else if ts, te, ok := v.IntervalsRaw(); ok {
+		p.enc, p.dataLen, p.auxLen = encInterval, uint64(len(ts))*8, uint64(len(te))*8
+	} else {
+		xs, _ := v.AnyRaw()
+		p.enc, p.auxLen = encAny, uint64(len(xs)+1)*4
+		for _, x := range xs {
+			p.dataLen += uint64(valLen(x))
+		}
+	}
+	p.nulls = v.NullBitmap()
+	p.nullsLen = uint64(len(p.nulls)) * 8
+	return p
+}
+
+func align8(n uint64) uint64 { return (n + 7) &^ 7 }
+
+// int64s appends xs little-endian; on a little-endian host that is a
+// straight copy of the slice's memory.
+func (e *enc) int64s(xs []int64) {
+	if hostLittleEndian {
+		e.b = append(e.b, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*8)...)
+		return
+	}
+	for _, x := range xs {
+		e.i64(x)
+	}
+}
+
+// offsets appends the (n+1)-entry u32 offset region of n variable-width
+// cells whose byte lengths size reports.
+func (e *enc) offsets(n int, size func(i int) int) {
+	var off uint32
+	e.u32(0)
+	for i := 0; i < n; i++ {
+		off += uint32(size(i))
+		e.u32(off)
+	}
+}
+
+// valLen is the encoded length of a tagged value cell (see enc.val).
+func valLen(v value.Value) int {
+	switch v.Kind() {
+	case value.KindBool:
+		return 2
+	case value.KindInt, value.KindFloat:
+		return 9
+	case value.KindString:
+		return 5 + len(v.Str())
+	case value.KindInterval:
+		return 17
+	}
+	return 1
+}
+
+// zoneLen is the encoded length of a zone map (see encodeZone).
+func zoneLen(z colbatch.Zone) int {
+	n := 4 + 4*8
+	for _, c := range z.Cols {
+		n += valLen(c.Min) + valLen(c.Max) + 4
+	}
+	return n
 }
 
 func encodeZone(e *enc, z colbatch.Zone) {

@@ -81,6 +81,23 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendSegmentAllocs bounds the encoder's allocations: appending
+// into a buffer with room costs only the zone map's column slice, and
+// EncodeSegment adds exactly one output buffer of the final size.
+func TestAppendSegmentAllocs(t *testing.T) {
+	batch := mixedRelation(t).Columnar()
+	buf := AppendSegment(nil, batch)
+	if got := testing.AllocsPerRun(50, func() { buf = AppendSegment(buf[:0], batch) }); got > 1 {
+		t.Errorf("AppendSegment into a sized buffer: %v allocs/op, want <= 1", got)
+	}
+	if got := testing.AllocsPerRun(50, func() { buf = EncodeSegment(batch) }); got > 2 {
+		t.Errorf("EncodeSegment: %v allocs/op, want <= 2", got)
+	}
+	if len(buf) != cap(buf) {
+		t.Errorf("EncodeSegment output: len %d, cap %d; want an exact-size buffer", len(buf), cap(buf))
+	}
+}
+
 func TestStoreLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	rel := mixedRelation(t)

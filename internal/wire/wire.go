@@ -1,11 +1,15 @@
-// Package wire defines talignd's wire-level streaming protocol: the
-// NDJSON frame shapes of POST /query/stream, the structured error object
+// Package wire defines talignd's two wire protocols and the pieces they
+// share: the NDJSON frames of POST /query/stream, the binary frames of
+// POST /fragment (coordinator to worker), the structured error object
 // every endpoint returns, and the JSON encoding of engine values. The
-// server (internal/server) and the public streaming client (package
-// talign) share these types, so the two ends of the protocol cannot
-// drift apart.
+// server (internal/server), the distsql coordinator and workers, and
+// the public streaming client (package talign) share these types, so
+// the ends of each protocol cannot drift apart.
 //
-// A stream response is a sequence of newline-delimited JSON frames:
+// # Client protocol: NDJSON
+//
+// A /query/stream response is a sequence of newline-delimited JSON
+// frames:
 //
 //	{"frame":"schema","columns":[...],"types":[...],"cache_hit":true}
 //	{"frame":"rows","rows":[[...],...]}          // one per executor batch
@@ -17,6 +21,30 @@
 // sequence with an error frame carrying the structured error object.
 // The schema frame always lists the visible attributes followed by the
 // valid-time bounds "ts" and "te".
+//
+// # Fragment protocol: binary frames
+//
+// A /fragment request body and an exec response are sequences of
+// length-prefixed frames:
+//
+//	[kind u8][len u32 little-endian][len bytes of payload]
+//
+// A KindRows payload is one batch in the storage segment format
+// (storage.AppendSegment): typed columns, validity bitmaps, the
+// valid-time arrays and the exact kind of every cell, with a CRC. Every
+// other kind carries JSON: KindRequest a FragmentRequest, KindSchema,
+// KindPlan, KindStatus and KindError the Frame of the same name.
+//
+//	request body:  request [rows... status]      // rows+status only for stage
+//	exec response: schema rows... (status | error) // or plan status
+//
+// A stage body sends one rows frame per storage.DefaultSegmentRows rows
+// (at least one, so the schema always arrives) and closes with a status
+// frame whose row count must match; the worker registers the relation
+// only after that frame. JSON frames are bounded by MaxRequestBytes and
+// rows frames by MaxRowsFrame, both checked against the length prefix.
+// Non-exec operations are answered with a JSON FragmentAck, failures
+// before the first frame with the JSON error body of every endpoint.
 package wire
 
 import (
@@ -66,11 +94,11 @@ type Frame struct {
 	Error *Error `json:"error,omitempty"`
 }
 
-// Fragment operations (the "op" field of a POST /fragment body). The
-// fragment endpoint is the worker half of distributed execution: the
-// coordinator stages shard data, executes SQL fragments (answered with
-// the same NDJSON frame stream as /query/stream), and tears staged
-// relations down when a distributed query finishes.
+// Fragment operations (the "op" field of a /fragment request frame).
+// The fragment endpoint is the worker half of distributed execution: the
+// coordinator stages shard data, executes SQL fragments (answered with a
+// binary frame stream), and tears staged relations down when a
+// distributed query finishes.
 const (
 	// FragmentExec runs a SQL fragment and streams frames back.
 	FragmentExec = "exec"
@@ -83,19 +111,18 @@ const (
 	FragmentAnalyze = "analyze"
 )
 
-// FragmentRequest is the POST /fragment body. Exec carries SQL with
-// bound params; stage carries a relation — Columns/Types describe the
-// visible attributes and each row appends the valid-time bounds ts, te
-// (the same row shape FrameRows uses).
+// FragmentRequest is the payload of a /fragment body's request frame.
+// Exec carries SQL with bound params, each a Cell with its kind name in
+// ParamTypes so ValueAs restores the exact value (a float 2.0, NaN or a
+// period would otherwise arrive as an int or a string); stage names the
+// relation whose rows frames follow.
 type FragmentRequest struct {
-	Op      string   `json:"op"`
-	SQL     string   `json:"sql,omitempty"`
-	Params  []any    `json:"params,omitempty"`
-	Batch   int      `json:"batch,omitempty"`
-	Name    string   `json:"name,omitempty"`
-	Columns []string `json:"columns,omitempty"`
-	Types   []string `json:"types,omitempty"`
-	Rows    [][]any  `json:"rows,omitempty"`
+	Op         string   `json:"op"`
+	SQL        string   `json:"sql,omitempty"`
+	Params     []any    `json:"params,omitempty"`
+	ParamTypes []string `json:"param_types,omitempty"`
+	Batch      int      `json:"batch,omitempty"`
+	Name       string   `json:"name,omitempty"`
 }
 
 // FragmentAck is the JSON response of the non-exec fragment operations.
